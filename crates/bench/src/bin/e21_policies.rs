@@ -2,8 +2,8 @@
 //! DESIGN.md "Scheduler policies").
 //!
 //! Extends the E12 scaling sweep across the full
-//! [`pf_rt::SchedPolicy::matrix`]: all 24 combinations of steal
-//! granularity × victim selection × resume placement × spawn order,
+//! [`pf_rt::SchedPolicy::matrix`]: all 12 combinations of steal
+//! granularity × victim selection × resume placement,
 //! each measured at t = 1/4/8 on the treap-union and 2-6 bulk-insert
 //! DAGs. Steal and suspend counts come from the exact
 //! [`pf_rt::TraceStats`] counters (never sampled, never dropped); the

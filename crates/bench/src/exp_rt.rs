@@ -449,7 +449,7 @@ fn policy_insert_run(
 
 /// E21 — the E12 scaling sweep extended to per-policy curves: every
 /// point of [`pf_rt::SchedPolicy::matrix`] (2 steal × 2 victim × 3
-/// resume × 2 spawn-order = 24 policies) measured at each thread count
+/// resume = 12 policies) measured at each thread count
 /// on the two E20 DAGs (treap union, 2-6 bulk insert). Per point the
 /// table reports best-of-`reps` wall-clock plus mean steal and suspend
 /// counts straight from the exact [`pf_rt::TraceStats`] counters; the

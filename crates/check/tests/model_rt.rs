@@ -677,6 +677,53 @@ fn cancel_racing_fulfill() {
     });
 }
 
+/// Work-first forks under a thief and a canceller: the root's first fork
+/// is pushed (its deque is empty), and each later fork runs inline or is
+/// pushed depending on whether the sibling has stolen that task yet,
+/// while a cancel races the whole session. Every interleaving must end
+/// `Ok` with each child run exactly once, or `Err(Cancelled)` with no
+/// child run twice; an inline child of the aborting session is dropped
+/// unrun, and the pool stays reusable.
+#[cfg(not(pf_check_lost_wakeup))]
+#[test]
+fn pool_inline_forks_race_steal_and_cancel() {
+    rt_budget().run(|| {
+        let rt = Runtime::new(2);
+        let tok = CancelToken::new();
+        let t2 = tok.clone();
+        let canceller = thread::spawn(move || t2.cancel());
+        let ran: Arc<Vec<AtomicUsize>> = Arc::new((0..4).map(|_| AtomicUsize::new(0)).collect());
+        let r = Arc::clone(&ran);
+        let res = rt.try_run_session(Session::new().cancel_token(&tok), move |wk| {
+            let child = |i: usize| {
+                let r = Arc::clone(&r);
+                move |_: &pf_rt::Worker| {
+                    r[i].fetch_add(1, Ordering::Relaxed);
+                }
+            };
+            wk.spawn(child(0));
+            wk.spawn(child(1));
+            wk.spawn2(child(2), child(3));
+        });
+        canceller.join().unwrap();
+        let counts: Vec<usize> = ran.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        match res {
+            Ok(_) => assert_eq!(counts, [1, 1, 1, 1]),
+            Err(e) => {
+                assert!(matches!(e, SessionError::Cancelled { .. }), "{e}");
+                assert!(counts.iter().all(|&c| c <= 1), "{counts:?}");
+            }
+        }
+        let (w, out) = cell::<u32>();
+        rt.try_run(move |wk| {
+            wk.spawn(move |wk| w.fulfill(wk, 3));
+        })
+        .unwrap();
+        assert_eq!(out.expect(), 3);
+        drop(rt);
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent sessions (PR 9: the session table)
 // ---------------------------------------------------------------------------

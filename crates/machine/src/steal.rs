@@ -45,8 +45,10 @@ pub struct StealPolicy {
     /// `ResumePlace::Mailbox`).
     pub resume_to_owner: bool,
     /// Forks push the child and continue the parent instead of the
-    /// work-first dive into the child (the real runtime's default
-    /// spawn order; this model's historical default is work-first).
+    /// work-first dive into the child: a model of help-first forks,
+    /// which the real runtime no longer uses. The model's default
+    /// (work-first) matches the runtime, whose forks run the child
+    /// inline while the worker holds stealable work.
     pub parent_first: bool,
 }
 

@@ -78,7 +78,7 @@ pub use error::{CancelToken, PoisonInfo, Session, SessionError, StallReport, Stu
 /// of a traced runtime need not depend on `pf-trace` directly.
 #[cfg(feature = "trace")]
 pub use pf_trace::{SessionTrace, TraceEvent, TraceKind, TraceStats, WorkerSummary, WorkerTrace};
-pub use policy::{ResumePlace, SchedPolicy, SpawnOrder, StealKind, VictimSelect};
+pub use policy::{ResumePlace, SchedPolicy, StealKind, VictimSelect};
 pub use pool::RuntimeBuilder;
 pub use rounds::PoolRounds;
 pub use scheduler::{RunStats, Runtime, Worker};

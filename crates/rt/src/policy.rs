@@ -1,9 +1,11 @@
 //! Pluggable scheduling policies.
 //!
 //! Every scheduling decision the runtime makes on a hot path — how much
-//! to steal, whom to steal from, where a resumed continuation lands,
-//! which side of a fork runs first — is an explicit knob here instead of
-//! a hard-coded branch in `scheduler.rs`/`cell.rs`. The motivation is
+//! to steal, whom to steal from, where a resumed continuation lands —
+//! is an explicit knob here instead of a hard-coded branch in
+//! `scheduler.rs`/`cell.rs`. Fork order is not a knob: a fork's child
+//! runs inline whenever the worker already holds stealable work (see
+//! [`Worker::spawn`](crate::Worker::spawn)). The motivation is
 //! Herlihy & Liu's *Well-Structured Futures and Cache Locality*: for
 //! futures specifically, deviations (and with them cache misses) swing
 //! by integer factors depending on steal granularity and resume
@@ -17,10 +19,11 @@
 //! pool is quiescent — mid-session every worker observes one fixed
 //! policy.
 //!
-//! [`SchedPolicy::default()`] is bit-for-bit the pre-policy runtime
-//! (steal-one, random-sweep victims, resume onto the fulfiller's deque,
-//! parent-first spawn); `bench_pr8` pins that the default's hot path
-//! matches the PR 1/PR 7 baselines.
+//! [`SchedPolicy::default()`] keeps the pre-policy runtime's steal and
+//! resume paths (steal-one, random-sweep victims, resume onto the
+//! fulfiller's deque);
+//! `bench_pr8` compares the default's hot path against the PR 1/PR 7
+//! baselines.
 
 /// How many tasks one successful steal moves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -69,24 +72,9 @@ pub enum ResumePlace {
     Mailbox,
 }
 
-/// Which side of a fork the spawning worker continues into.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SpawnOrder {
-    /// `spawn` pushes the child and the parent keeps running (the
-    /// default; the paper's help-first discipline — the child is
-    /// immediately stealable).
-    #[default]
-    ParentFirst,
-    /// `spawn` runs the child inline and the parent continues after it
-    /// returns (work-first, depth-guarded with fallback to the push
-    /// path). `spawn2` keeps one stealable child: the first closure is
-    /// pushed, the second runs inline.
-    ChildFirst,
-}
-
 /// One complete scheduling policy: a value of each knob.
 ///
-/// `Default` reproduces the pre-policy runtime exactly. Select per
+/// `Default` keeps the pre-policy steal and resume paths. Select per
 /// runtime with [`Runtime::with_policy`](crate::Runtime::with_policy)
 /// or the [builder](crate::Runtime::builder), or per session with
 /// [`Session::policy`](crate::Session::policy) (which wins).
@@ -98,8 +86,6 @@ pub struct SchedPolicy {
     pub victim: VictimSelect,
     /// Resume placement on fulfill.
     pub resume: ResumePlace,
-    /// Spawn order at a fork.
-    pub spawn: SpawnOrder,
 }
 
 impl SchedPolicy {
@@ -108,8 +94,7 @@ impl SchedPolicy {
         let s = self.steal as u32;
         let v = self.victim as u32;
         let r = self.resume as u32;
-        let o = self.spawn as u32;
-        s | (v << 8) | (r << 16) | (o << 24)
+        s | (v << 8) | (r << 16)
     }
 
     /// Inverse of [`Self::pack`]. Unknown bytes fall back to the
@@ -129,16 +114,12 @@ impl SchedPolicy {
                 2 => ResumePlace::Mailbox,
                 _ => ResumePlace::FulfillerDeque,
             },
-            spawn: match (bits >> 24) & 0xff {
-                1 => SpawnOrder::ChildFirst,
-                _ => SpawnOrder::ParentFirst,
-            },
         }
     }
 
-    /// A short stable label (`steal-victim-resume-spawn`), used to tag
-    /// traces and name benchmark metrics. The default policy's label is
-    /// `"one-sweep-deque-parent"`.
+    /// A short stable label (`steal-victim-resume`), used to tag traces
+    /// and name benchmark metrics. The default policy's label is
+    /// `"one-sweep-deque"`.
     pub fn label(&self) -> String {
         let s = match self.steal {
             StealKind::One => "one",
@@ -153,33 +134,26 @@ impl SchedPolicy {
             ResumePlace::Inline => "inline",
             ResumePlace::Mailbox => "mailbox",
         };
-        let o = match self.spawn {
-            SpawnOrder::ParentFirst => "parent",
-            SpawnOrder::ChildFirst => "child",
-        };
-        format!("{s}-{v}-{r}-{o}")
+        format!("{s}-{v}-{r}")
     }
 
-    /// Every combination of every knob (2·2·3·2 = 24 policies), the
+    /// Every combination of every knob (2·2·3 = 12 policies), the
     /// default first. The cross-policy pinned tests iterate this so a
     /// new knob value is covered the day it is added.
     pub fn matrix() -> Vec<SchedPolicy> {
-        let mut out = Vec::with_capacity(24);
-        for &spawn in &[SpawnOrder::ParentFirst, SpawnOrder::ChildFirst] {
-            for &resume in &[
-                ResumePlace::FulfillerDeque,
-                ResumePlace::Inline,
-                ResumePlace::Mailbox,
-            ] {
-                for &victim in &[VictimSelect::RandomSweep, VictimSelect::LastVictimFirst] {
-                    for &steal in &[StealKind::One, StealKind::Half] {
-                        out.push(SchedPolicy {
-                            steal,
-                            victim,
-                            resume,
-                            spawn,
-                        });
-                    }
+        let mut out = Vec::with_capacity(12);
+        for &resume in &[
+            ResumePlace::FulfillerDeque,
+            ResumePlace::Inline,
+            ResumePlace::Mailbox,
+        ] {
+            for &victim in &[VictimSelect::RandomSweep, VictimSelect::LastVictimFirst] {
+                for &steal in &[StealKind::One, StealKind::Half] {
+                    out.push(SchedPolicy {
+                        steal,
+                        victim,
+                        resume,
+                    });
                 }
             }
         }
@@ -198,8 +172,7 @@ mod tests {
         assert_eq!(p.steal, StealKind::One);
         assert_eq!(p.victim, VictimSelect::RandomSweep);
         assert_eq!(p.resume, ResumePlace::FulfillerDeque);
-        assert_eq!(p.spawn, SpawnOrder::ParentFirst);
-        assert_eq!(p.label(), "one-sweep-deque-parent");
+        assert_eq!(p.label(), "one-sweep-deque");
         // The default must pack to 0 so a zero-initialised atomic *is*
         // the default policy.
         assert_eq!(p.pack(), 0);
@@ -208,7 +181,7 @@ mod tests {
     #[test]
     fn pack_roundtrips_every_matrix_entry() {
         let m = SchedPolicy::matrix();
-        assert_eq!(m.len(), 24);
+        assert_eq!(m.len(), 12);
         for p in m {
             assert_eq!(SchedPolicy::unpack(p.pack()), p);
         }
@@ -220,6 +193,6 @@ mod tests {
         let mut labels: Vec<String> = m.iter().map(|p| p.label()).collect();
         labels.sort();
         labels.dedup();
-        assert_eq!(labels.len(), 24);
+        assert_eq!(labels.len(), 12);
     }
 }

@@ -15,8 +15,9 @@
 //!
 //! Liveness accounting (the invariant behind termination detection): the
 //! owning slot's counter holds the number of closures that are queued,
-//! running, or suspended in a future cell. It is incremented by
-//! [`Worker::spawn`] and by a touch that suspends (`note_suspend`), and
+//! running, or suspended in a future cell. It is incremented when
+//! [`Worker::spawn`] pushes a child (a child run inline shares its
+//! caller's unit) and by a touch that suspends (`note_suspend`), and
 //! decremented when a task finishes. A write that reactivates a waiter
 //! transfers the suspended unit to the queue without changing the count
 //! (`resume_transferred`). When the counter reaches zero the session is
@@ -27,15 +28,16 @@ use std::sync::{Arc, Weak};
 
 use crate::deque::{LocalQueue, Steal, MAX_STEAL_BATCH};
 use crate::error::PoisonTarget;
-use crate::policy::{ResumePlace, SchedPolicy, SpawnOrder, StealKind, VictimSelect};
+use crate::policy::{ResumePlace, SchedPolicy, StealKind, VictimSelect};
 use crate::pool::{AbortReason, SessionSlot, SessionTask, Shared, WorkerStats};
 use crate::task::Task;
 
 pub use crate::pool::{RunStats, Runtime};
 
-/// Maximum depth of inline continuation execution before a ready touch is
-/// deferred to the queue instead — bounds native stack growth on long
-/// ready chains (e.g. list pipelines whose producer runs ahead).
+/// Maximum depth of inline execution — ready touches, inline resumes and
+/// inline fork children share it — before work is deferred to the queue
+/// instead: bounds native stack growth on long ready chains (e.g. list
+/// pipelines whose producer runs ahead) and long fork chains.
 const MAX_INLINE_DEPTH: usize = 128;
 
 /// The per-thread execution context handed to every task.
@@ -158,6 +160,9 @@ impl Worker {
         }));
         self.current.set(prev);
         if let Err(payload) = res {
+            // The unwind skipped the depth restores of any inline frames
+            // it crossed; tasks start at the worker loop, at depth 0.
+            self.inline_depth.set(0);
             // File the reason before retiring the unit: when this was the
             // session's last queued-or-running task, the client must wake
             // to a filed reason, not to a clean finish.
@@ -168,106 +173,96 @@ impl Worker {
     }
 
     /// Spawn `f` as a new task (a future fork). The paper charges this
-    /// constant time: one deque push, with an allocation only when the
-    /// closure exceeds the inline [`Task`] payload.
+    /// constant time.
     ///
-    /// Under [`SpawnOrder::ChildFirst`] the child runs *inline*, right
-    /// now, and the caller continues when it returns (work-first,
-    /// depth-guarded like every inline path). The accounting is kept
-    /// identical to the push path — the child still counts as one spawn
-    /// and one executed task — so `RunStats`/trace totals are policy-
-    /// independent; only the liveness counter skips its round-trip (the
-    /// child runs inside the caller's unit).
+    /// Work-first with one stealable task kept: when this worker's deque
+    /// already holds a task (something a thief can take) and the native
+    /// stack has room, the child runs *inline*, right now, and the caller
+    /// continues when it returns. Only when the deque is empty is the
+    /// child pushed — one deque push, with an allocation only when the
+    /// closure exceeds the inline [`Task`] payload. An inline child is
+    /// accounted exactly like a pushed one (one spawn, one executed
+    /// task), so `RunStats` and trace totals do not depend on which path
+    /// was taken; it only skips the liveness round-trip, running inside
+    /// the caller's unit.
     pub fn spawn(&self, f: impl FnOnce(&Worker) + Send + 'static) {
-        if self.policy().spawn == SpawnOrder::ChildFirst {
-            let d = self.inline_depth.get();
-            if d < MAX_INLINE_DEPTH {
-                self.stats().add_spawns(1);
-                self.stats().add_progress();
-                crate::trace::spawn(self, 1);
-                self.stats().add_tasks(1);
-                crate::trace::exec(self);
-                self.inline_depth.set(d + 1);
-                f(self);
-                self.inline_depth.set(d);
-                return;
-            }
-        }
-        let session = self.clone_session();
-        session.add_units(1);
         self.stats().add_spawns(1);
         self.stats().add_progress();
         crate::trace::spawn(self, 1);
-        self.local.push(SessionTask {
-            session,
-            task: Task::new(f),
-        });
-        self.notify_push(1);
+        if self.may_inline_child() {
+            self.run_child(f);
+        } else {
+            self.push_child(Task::new(f));
+        }
     }
 
-    /// Spawn two tasks with one round of liveness/stat accounting — the
-    /// two-child fan-out every tree algorithm performs at each internal
-    /// node. Equivalent to two [`Worker::spawn`] calls (`g` is pushed
-    /// last, so a LIFO owner pops it first) but with a single
-    /// `fetch_add(2)` on the session's liveness counter.
-    ///
-    /// Under [`SpawnOrder::ChildFirst`], `f` is pushed (one stealable
-    /// child per fork, preserving the paper's parallelism) and `g` runs
-    /// inline first — the same order a LIFO owner would pop.
+    /// Spawn two tasks — the two-child fan-out every tree algorithm
+    /// performs at each internal node — under the same rule as
+    /// [`Worker::spawn`]: with work already queued, both run inline, `g`
+    /// first (the order a LIFO owner would pop them); with an empty
+    /// deque, `f` is pushed and `g` runs inline. Past the inline-depth
+    /// guard both are pushed.
     pub fn spawn2(
         &self,
         f: impl FnOnce(&Worker) + Send + 'static,
         g: impl FnOnce(&Worker) + Send + 'static,
     ) {
-        if self.policy().spawn == SpawnOrder::ChildFirst {
-            let d = self.inline_depth.get();
-            if d < MAX_INLINE_DEPTH {
-                let session = self.clone_session();
-                session.add_units(1);
-                self.stats().add_spawns(2);
-                self.stats().add_progress();
-                crate::trace::spawn(self, 2);
-                self.local.push(SessionTask {
-                    session,
-                    task: Task::new(f),
-                });
-                self.notify_push(1);
-                self.stats().add_tasks(1);
-                crate::trace::exec(self);
-                self.inline_depth.set(d + 1);
-                g(self);
-                self.inline_depth.set(d);
-                return;
-            }
-        }
-        let session = self.clone_session();
-        session.add_units(2);
         self.stats().add_spawns(2);
         self.stats().add_progress();
         crate::trace::spawn(self, 2);
-        self.local.push(SessionTask {
-            session: Arc::clone(&session),
-            task: Task::new(f),
-        });
-        self.local.push(SessionTask {
-            session,
-            task: Task::new(g),
-        });
-        self.notify_push(2);
+        if self.may_inline_child() {
+            self.run_child(g);
+            self.run_child(f);
+        } else if self.inline_depth.get() < MAX_INLINE_DEPTH {
+            self.push_child(Task::new(f));
+            self.run_child(g);
+        } else {
+            self.push_child(Task::new(f));
+            self.push_child(Task::new(g));
+        }
+    }
+
+    /// May a fork's child run inline right now? Only while the deque
+    /// holds a task for a thief to take (so running inline never starves
+    /// a sibling) and the shared inline-depth guard leaves stack room.
+    #[inline]
+    fn may_inline_child(&self) -> bool {
+        !self.local.is_empty() && self.inline_depth.get() < MAX_INLINE_DEPTH
+    }
+
+    /// Run a spawned child inline, inside the caller's liveness unit (its
+    /// spawn is already counted). When the session is aborting the child
+    /// is dropped unrun, exactly as [`Worker::execute`] discards a popped
+    /// task, so a cancelled session does not run a whole inline subtree.
+    fn run_child(&self, f: impl FnOnce(&Worker)) {
+        if self.session().aborting() {
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(f)));
+            return;
+        }
+        self.stats().add_tasks(1);
+        crate::trace::exec(self);
+        let d = self.inline_depth.get();
+        self.inline_depth.set(d + 1);
+        f(self);
+        self.inline_depth.set(d);
+    }
+
+    /// Queue a spawned child on this worker's deque under the current
+    /// session, with its own liveness unit (its spawn is already
+    /// counted), and wake a sleeper to steal it.
+    fn push_child(&self, task: Task) {
+        let session = self.clone_session();
+        session.add_units(1);
+        self.local.push(SessionTask { session, task });
+        self.notify_push(1);
     }
 
     /// Spawn an already-boxed continuation without re-boxing it.
     pub(crate) fn spawn_boxed(&self, f: Box<dyn FnOnce(&Worker) + Send>) {
-        let session = self.clone_session();
-        session.add_units(1);
         self.stats().add_spawns(1);
         self.stats().add_progress();
         crate::trace::spawn(self, 1);
-        self.local.push(SessionTask {
-            session,
-            task: Task::from_boxed(f),
-        });
-        self.notify_push(1);
+        self.push_child(Task::from_boxed(f));
     }
 
     /// Enqueue a reactivated waiter onto our own deque (its suspended

@@ -1,4 +1,4 @@
-//! Cross-policy behavior suite (PR 8): every combination of the four
+//! Cross-policy behavior suite (PR 8): every combination of the three
 //! scheduling-policy axes must produce the same algorithm answers with
 //! the same policy-independent accounting — scheduling is a performance
 //! knob, never a semantics knob.
@@ -14,13 +14,12 @@
 //! the fulfill).
 
 use pf_rt::{
-    cell, FutWrite, ResumePlace, Runtime, SchedPolicy, Session, SpawnOrder, StealKind,
-    VictimSelect, Worker,
+    cell, FutWrite, ResumePlace, Runtime, SchedPolicy, Session, StealKind, VictimSelect, Worker,
 };
 
 /// A binary fork tree of depth `d` summing 2^d leaf ones through cells:
-/// exercises spawn order, stealing, suspension, and resume placement in
-/// one deterministic-fates workload.
+/// exercises inline and pushed forks, stealing, suspension, and resume
+/// placement in one deterministic-fates workload.
 fn tree_sum(wk: &Worker, depth: u32, out: FutWrite<u64>) {
     if depth == 0 {
         out.fulfill(wk, 1);
@@ -67,11 +66,7 @@ fn chain_sum(rt: &Runtime, policy: SchedPolicy, n: u64) -> u64 {
 #[test]
 fn matrix_covers_all_axis_combinations() {
     let m = SchedPolicy::matrix();
-    assert_eq!(
-        m.len(),
-        2 * 2 * 3 * 2,
-        "2 steal × 2 victim × 3 resume × 2 spawn"
-    );
+    assert_eq!(m.len(), 2 * 2 * 3, "2 steal × 2 victim × 3 resume");
     assert_eq!(
         m[0],
         SchedPolicy::default(),
@@ -149,7 +144,6 @@ fn session_policy_overrides_runtime_default() {
         steal: StealKind::Half,
         victim: VictimSelect::LastVictimFirst,
         resume: ResumePlace::Mailbox,
-        spawn: SpawnOrder::ChildFirst,
     };
     let rt = Runtime::with_policy(2, non_default);
     assert_eq!(rt.default_policy(), non_default);
@@ -169,7 +163,7 @@ fn session_policy_overrides_runtime_default() {
 #[test]
 fn builder_sets_policy_and_ring_capacity() {
     let policy = SchedPolicy {
-        spawn: SpawnOrder::ChildFirst,
+        victim: VictimSelect::LastVictimFirst,
         ..SchedPolicy::default()
     };
     let rt = Runtime::builder(2)
@@ -215,10 +209,10 @@ mod traced {
 
     #[test]
     fn steal_half_moves_batches_on_a_wide_pool() {
-        // Under steal-half with parent-first spawning, a fan-out of
-        // thousands of tasks piles onto the root's deque and thieves
-        // drain it in batches; the steal *count* (tasks obtained by
-        // stealing) still reconciles with RunStats.
+        // Under steal-half, thousands of resumed waiters pile onto the
+        // fulfilling root's deque (forks would mostly run inline) and
+        // thieves drain it in batches; the steal *count* (tasks obtained
+        // by stealing) still reconciles with RunStats.
         let policy = SchedPolicy {
             steal: StealKind::Half,
             ..SchedPolicy::default()
@@ -226,8 +220,14 @@ mod traced {
         let rt = Runtime::with_policy(4, policy);
         for _ in 0..20 {
             let stats = rt.run_stats(|wk| {
+                let mut writes = Vec::with_capacity(4000);
                 for _ in 0..4000 {
-                    wk.spawn(|_| std::thread::yield_now());
+                    let (w, r) = cell::<()>();
+                    r.touch(wk, |_, _| std::thread::yield_now());
+                    writes.push(w);
+                }
+                for w in writes {
+                    w.fulfill(wk, ());
                 }
             });
             let trace = stats.trace.as_ref().unwrap();

@@ -304,27 +304,38 @@ fn poison_stays_in_the_faulting_session() {
 /// Spawn a sibling thread that pumps short busy sessions on `rt` until
 /// `stop` is raised, counting completed sessions in `pumped`. Each task
 /// spins briefly so the pool's workers stay genuinely busy — the
-/// condition under which the old idle-pool watchdog was blind.
+/// condition under which the old idle-pool watchdog was blind. Two
+/// client threads pump at once, so their sessions overlap: with one,
+/// the pool often went fully idle between its sessions on a 2-CPU host,
+/// and the all-workers-parked detector fired before the heartbeat.
 fn busy_sibling(
     rt: &Arc<Runtime>,
     stop: &Arc<AtomicBool>,
     pumped: &Arc<std::sync::atomic::AtomicU64>,
 ) -> std::thread::JoinHandle<()> {
-    let (rt, stop, pumped) = (Arc::clone(rt), Arc::clone(stop), Arc::clone(pumped));
-    std::thread::spawn(move || {
-        while !stop.load(Ordering::Acquire) {
-            rt.try_run(|wk| {
-                for _ in 0..8 {
-                    wk.spawn(|_| {
-                        for _ in 0..2_000 {
-                            std::hint::spin_loop();
-                        }
-                    });
-                }
-            })
-            .expect("healthy pump session");
-            pumped.fetch_add(1, Ordering::Release);
+    let pumper = || {
+        let (rt, stop, pumped) = (Arc::clone(rt), Arc::clone(stop), Arc::clone(pumped));
+        move || {
+            while !stop.load(Ordering::Acquire) {
+                rt.try_run(|wk| {
+                    for _ in 0..8 {
+                        wk.spawn(|_| {
+                            for _ in 0..2_000 {
+                                std::hint::spin_loop();
+                            }
+                        });
+                    }
+                })
+                .expect("healthy pump session");
+                pumped.fetch_add(1, Ordering::Release);
+            }
         }
+    };
+    let (first, second) = (pumper(), pumper());
+    std::thread::spawn(move || {
+        let other = std::thread::spawn(second);
+        first();
+        other.join().unwrap();
     })
 }
 

@@ -237,7 +237,7 @@ pub struct SessionTrace {
     /// point of the Chrome-trace export.
     pub start_ns: u64,
     /// Label of the scheduling policy the session ran under (e.g.
-    /// `"one-sweep-deque-parent"`), so per-policy timelines stay
+    /// `"one-sweep-deque"`), so per-policy timelines stay
     /// distinguishable after export. Empty when the recorder predates
     /// policy tagging.
     pub policy: String,
@@ -572,7 +572,7 @@ mod tests {
         let tr = SessionTrace {
             session: 7,
             start_ns: 100,
-            policy: "one-sweep-deque-parent".to_string(),
+            policy: "one-sweep-deque".to_string(),
             ring_capacity: 16,
             workers: vec![
                 WorkerTrace {
@@ -601,7 +601,7 @@ mod tests {
         };
         let s = tr.stats();
         assert_eq!(s.session, 7);
-        assert_eq!(s.policy, "one-sweep-deque-parent");
+        assert_eq!(s.policy, "one-sweep-deque");
         assert_eq!(s.per_worker.len(), 2);
         assert_eq!(s.per_worker[0].executed(), 2);
         assert_eq!(s.per_worker[0].steals(), 1);
@@ -621,7 +621,7 @@ mod tests {
     fn stats_merge_adds_lanes_elementwise() {
         let mut a = TraceStats {
             session: 1,
-            policy: "one-sweep-deque-parent".to_string(),
+            policy: "one-sweep-deque".to_string(),
             per_worker: vec![WorkerSummary {
                 counts: {
                     let mut c = [0; KIND_COUNT];
@@ -634,7 +634,7 @@ mod tests {
         };
         let b = TraceStats {
             session: 2,
-            policy: "half-lastv-mailbox-child".to_string(),
+            policy: "half-lastv-mailbox".to_string(),
             per_worker: vec![
                 WorkerSummary {
                     counts: {
@@ -652,7 +652,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.session, 1, "merge keeps the first session id");
         assert_eq!(
-            a.policy, "one-sweep-deque-parent",
+            a.policy, "one-sweep-deque",
             "merge keeps the first policy label"
         );
         assert_eq!(a.per_worker.len(), 2, "extra lanes are appended");
@@ -666,7 +666,7 @@ mod tests {
         let tr = SessionTrace {
             session: 3,
             start_ns: 1_000,
-            policy: "one-sweep-deque-parent".to_string(),
+            policy: "one-sweep-deque".to_string(),
             ring_capacity: 1 << 14,
             workers: vec![WorkerTrace {
                 events: vec![
@@ -699,7 +699,7 @@ mod tests {
         assert!(json.contains("\"name\":\"client\""));
         // The trailing metadata object makes the export self-describing.
         assert!(json.contains(
-            "\"metadata\":{\"policy\":\"one-sweep-deque-parent\",\
+            "\"metadata\":{\"policy\":\"one-sweep-deque\",\
              \"ringCapacity\":16384,\"droppedEvents\":5}"
         ));
         // A timestamp before the session start clamps to zero.

@@ -307,13 +307,13 @@ fn seq_oracle_rejects_touch_before_write() {
     });
 }
 
-/// PR 8 pin: every scheduling policy (the full 24-combination matrix of
-/// steal granularity × victim selection × resume placement × spawn
-/// order) yields bit-identical algorithm results — keys *and*
-/// deterministic tree shape — and identical policy-independent
-/// accounting on the tri-backend suite's treap-union and mergesort
-/// workloads. "Policy-independent accounting" is `spawns` (a spawned
-/// task is counted once whether pushed or run inline) plus the liveness
+/// PR 8 pin: every scheduling policy (the full 12-combination matrix of
+/// steal granularity × victim selection × resume placement) yields
+/// bit-identical algorithm results — keys *and* deterministic tree
+/// shape — and identical policy-independent accounting on the
+/// tri-backend suite's treap-union and mergesort workloads.
+/// "Policy-independent accounting" is `spawns` (a spawned task is
+/// counted once whether pushed or run inline) plus the liveness
 /// identity `tasks_executed - suspensions == spawns + 1`; raw executed
 /// counts legitimately vary across policies because whether a touch
 /// suspends depends on the schedule.
@@ -373,6 +373,47 @@ fn every_sched_policy_is_result_identical_across_the_suite() {
             );
         }
     }
+}
+
+/// Work-first forks keep touches from suspending: a fork's child runs
+/// inline while the worker holds stealable work, so the cells a parent
+/// touches right after forking are usually already written. On one
+/// worker (no steals, so the counts are deterministic) treap union and
+/// mergesort each suspend at most once per 100 spawns; help-first forks,
+/// which pushed every child, suspended about 0.63 times per spawn across
+/// the benchmark's algorithm batch.
+#[test]
+fn forks_suspend_rarely_on_one_worker() {
+    let a = entries((0..1 << 12).map(|i| 3 * i));
+    let b = entries((0..1 << 12).map(|i| 2 * i));
+    let rt = Runtime::new(1);
+    let (op, of) = cell();
+    let (ta, tb) = (
+        ready(RTreap::from_entries_ready(&a)),
+        ready(RTreap::from_entries_ready(&b)),
+    );
+    let stats = rt.run_stats(move |wk| rt_union(wk, ta, tb, op));
+    let pu = PlainTreap::union(PlainTreap::from_entries(&a), PlainTreap::from_entries(&b));
+    assert_eq!(of.expect().to_sorted_vec(), PlainTreap::to_sorted_vec(&pu));
+    assert!(
+        stats.suspensions * 100 <= stats.spawns,
+        "union: {} suspensions for {} spawns",
+        stats.suspensions,
+        stats.spawns
+    );
+
+    let keys = shuffled_keys(1 << 12, 5);
+    let mut sorted = keys.clone();
+    sorted.sort_unstable();
+    let (op, of) = cell();
+    let stats = rt.run_stats(move |wk| pf_algs::mergesort::msort(wk, keys, op, Mode::Pipelined));
+    assert_eq!(of.expect().to_sorted_vec(), sorted);
+    assert!(
+        stats.suspensions * 100 <= stats.spawns,
+        "msort: {} suspensions for {} spawns",
+        stats.suspensions,
+        stats.spawns
+    );
 }
 
 #[test]
