@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pf_check::sync::thread;
+use pf_check::sync::AtomicBool as ModelBool;
 use pf_check::CheckBuilder;
 
 use pf_rt::deque::{deque, Steal, MAX_STEAL_BATCH};
@@ -328,7 +329,7 @@ fn cell_fulfill_vs_touch_exactly_once() {
 
 /// Forced suspension order (touch strictly before fulfill, sequenced on
 /// one worker): exercises the WAITING branch of the writer's swap — the
-/// waiter box is taken and re-enqueued as a task exactly once.
+/// suspension record is taken and re-enqueued as a task exactly once.
 #[cfg(not(pf_check_lost_wakeup))]
 #[test]
 fn cell_waiter_handoff_after_suspension() {
@@ -830,6 +831,91 @@ fn concurrent_cancel_hits_only_its_slot() {
         // Stale cancel on the closed slot: must be a no-op.
         tok.cancel();
         drop(rt);
+    });
+}
+
+/// Counts its own drops: a continuation capturing one is released
+/// exactly once whether it runs, is discarded, or is dropped by a poison
+/// pass — any other count is a leak or a double free.
+struct DropProbe(Arc<AtomicUsize>);
+
+impl Drop for DropProbe {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The poison pass racing a cross-session fulfill for one cell: session
+/// A suspends on the cell and cancels itself, while session B — a second
+/// client of the same pool — fulfills that cell. The pass files A's
+/// context into the slot the suspension record vacated (via the
+/// transient POISONING state), so every interleaving must end one of two
+/// ways: B wins, the waiter is run or discarded (at the latest when the
+/// pool drops, if it was still queued when A returned), and the value
+/// is readable; or the cell is POISONED with A's id and B's fulfill fails
+/// with that context (also when B's swap lands mid-publication and waits
+/// it out). Either way nothing hangs and the continuation — the record's
+/// payload — is released exactly once.
+#[cfg(not(pf_check_lost_wakeup))]
+#[test]
+fn poison_pass_races_cross_session_fulfill() {
+    rt_budget().run(|| {
+        let rt = Arc::new(Runtime::new(2));
+        let (w, r) = cell::<u32>();
+        // B starts once A's continuation is suspended, so B's fulfill
+        // races A's cancel, abort wait and poison pass — not the touch.
+        let suspended = Arc::new(ModelBool::new(false));
+        let seen = Arc::clone(&suspended);
+        let rt_b = Arc::clone(&rt);
+        let writer = thread::spawn(move || {
+            while !seen.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+            rt_b.try_run(move |wk| w.fulfill(wk, 7))
+        });
+        let drops = Arc::new(AtomicUsize::new(0));
+        let runs = Arc::new(AtomicUsize::new(0));
+        let probe = DropProbe(Arc::clone(&drops));
+        let ran = Arc::clone(&runs);
+        let tok = CancelToken::new();
+        let tok_in = tok.clone();
+        let r_in = r.clone();
+        let res_a = rt.try_run_session(Session::new().cancel_token(&tok), move |wk| {
+            r_in.touch(wk, move |v, _wk| {
+                assert_eq!(v, 7);
+                ran.fetch_add(1, Ordering::Relaxed);
+                drop(probe);
+            });
+            suspended.store(true, Ordering::SeqCst);
+            tok_in.cancel();
+        });
+        let res_b = writer.join().unwrap();
+        let err_a = res_a.expect_err("A cancels itself while its root runs");
+        assert!(matches!(err_a, SessionError::Cancelled { .. }), "{err_a}");
+        match r.poison_info() {
+            None => {
+                res_b.expect("B's fulfill won the cell");
+                assert_eq!(r.peek(), Some(7));
+            }
+            Some(info) => {
+                assert_eq!(info.session, err_a.session());
+                assert_eq!(runs.load(Ordering::Relaxed), 0);
+                let err_b = res_b.expect_err("fulfill of a poisoned cell must fail");
+                assert!(matches!(err_b, SessionError::Panicked { .. }), "{err_b}");
+                let msg = err_b.panic_message().unwrap_or("");
+                let ctx = format!("poisoned by aborted session {}", info.session);
+                assert!(msg.contains(&ctx), "{msg}");
+            }
+        }
+        // A waiter B resumed into the aborted session A may still be
+        // queued; the pool's teardown discards it.
+        drop(rt);
+        assert_eq!(
+            drops.load(Ordering::Relaxed),
+            1,
+            "continuation released once"
+        );
+        assert!(runs.load(Ordering::Relaxed) <= 1);
     });
 }
 

@@ -5,6 +5,7 @@
 //! ```text
 //!   EMPTY ──write──────────────► FULL        (value published)
 //!   EMPTY ──touch──► WAITING ──write──► FULL (waiter reactivated)
+//!                    WAITING ──abort──► POISONING ──► POISONED
 //! ```
 //!
 //! Linearity (§4 of the paper) guarantees at most one toucher, so a single
@@ -21,44 +22,78 @@
 //! finished data structures can be inspected after the run with
 //! [`FutRead::peek`] / [`FutRead::expect`].
 //!
-//! A suspended continuation is stored as **one** allocation: the box made
-//! at touch time already captures the cell (an `Arc`) and clones the
-//! value out when it runs, so the writer hands it to the scheduler as-is
-//! instead of re-boxing it with the value (the old double allocation on
-//! every suspension). While a waiter sits in a cell, the cell keeps
-//! itself alive through the waiter's `Arc` — a deliberate cycle, broken
-//! whenever the waiter is taken out. That happens on every path: a run
-//! that reaches quiescence reactivates the waiter, and a session that
-//! *aborts* (panic, cancel, deadline, stall) **poisons** the cell during
-//! its abort cleanup — a fourth state, `POISONED`, entered only from
-//! `WAITING` — which takes the waiter out and drops it, so nothing leaks.
-//! A poisoned cell remembers why its session died
+//! # Layout
+//!
+//! A cell is one `Arc` allocation holding exactly what every cell needs —
+//! its state, its value, and one pointer:
+//!
+//! ```text
+//!   Arc counts   strong, weak                      16 B
+//!   state        AtomicU8                           1 B (+7 padding)
+//!   value        UnsafeCell<Option<T>>             16 B for u64 / RTreap
+//!   susp         UnsafeCell<Option<NonNull<()>>>    8 B
+//!                                                  ─────
+//!                                                  48 B (a 64-B malloc chunk)
+//! ```
+//!
+//! Everything only a *suspended* touch needs lives in that touch's own
+//! **suspension record**, allocated when (and only when) the touch
+//! suspends, and pointed to by `susp` while the cell is `WAITING`:
+//!
+//! ```text
+//!   call fn │ drop fn │ session Arc │ owner │ cell Arc │ continuation
+//!   ╰──────────── SuspHdr (32 B) ──────────╯
+//! ```
+//!
+//! The record *is* the continuation's allocation: the header carries the
+//! `call`/`drop` pair of the record's concrete type, laid out exactly like
+//! a [`Task`]'s, so the writer hands the thin pointer to the scheduler via
+//! [`Task::from_raw`] without re-boxing — a suspension allocates once,
+//! and the record is freed as soon as its continuation runs.
+//!
+//! While a record sits in a cell, the cell keeps itself alive through the
+//! record's `Arc` — a deliberate cycle, broken whenever the record is
+//! taken out. That happens on every path: a run that reaches quiescence
+//! reactivates the waiter, and a session that *aborts* (panic, cancel,
+//! deadline, stall) **poisons** the cell during its abort cleanup, which
+//! takes the record out and drops it, so nothing leaks. The poison pass
+//! wins `WAITING → POISONING` (the transient state makes it the slot's
+//! sole owner), files its `Arc<PoisonInfo>` into the `susp` slot the
+//! record vacated, and release-stores `POISONED`; only then does it drop
+//! the record. A poisoned cell thus remembers why its session died
 //! ([`FutRead::poison_info`]); any straggler touch or fulfill of it
 //! panics immediately with that context instead of suspending on a value
-//! that can never arrive. See the "Failure model" section of DESIGN.md.
+//! that can never arrive (one that catches the pass mid-publication waits
+//! the few instructions until `POISONED`). See the "Failure model" section
+//! of DESIGN.md.
 //!
 //! Under `--cfg pf_chaos` the fulfill/touch entry points also host the
 //! chaos layer's delay hook (see [`crate::chaos`]); in normal builds the
 //! hook compiles to nothing.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::cell::UnsafeCell;
+use std::ptr::NonNull;
 use std::sync::Arc;
 
-use crate::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicU8, Ordering};
 
 use crate::error::{PoisonInfo, PoisonOutcome, PoisonTarget, StuckCell};
 use crate::pool::{SessionSlot, SessionTask};
 use crate::scheduler::Worker;
-use crate::task::Task;
+use crate::task::{self, CallFn, DropFn, Payload, Task};
 
 const EMPTY: u8 = 0;
 const WAITING: u8 = 1;
 const FULL: u8 = 2;
 /// The cell's session aborted with a continuation suspended here; the
-/// waiter was dropped and `Inner::poison` holds the failure context.
-/// Terminal, entered only from `WAITING`, only by the aborting session's
-/// cleanup pass.
+/// record was dropped and `Inner::susp` holds the failure context.
+/// Terminal, entered only from `POISONING`, only by the aborting
+/// session's cleanup pass.
 const POISONED: u8 = 3;
+/// Transient, between `WAITING` and `POISONED`: the poison pass owns the
+/// `susp` slot and is swapping the record for the failure context.
+const POISONING: u8 = 4;
 
 fn state_name(s: u8) -> &'static str {
     match s {
@@ -66,99 +101,203 @@ fn state_name(s: u8) -> &'static str {
         WAITING => "WAITING",
         FULL => "FULL",
         POISONED => "POISONED",
+        POISONING => "POISONING",
         _ => "invalid",
     }
 }
 
-fn poison_desc(info: &Option<Arc<PoisonInfo>>) -> String {
-    match info {
-        Some(i) => i.to_string(),
-        None => "poisoned (context missing)".to_string(),
-    }
+/// Header of a suspension record: the first field of every [`Susp`]
+/// (`repr(C)`), so a thin pointer to the record is a pointer to it.
+#[repr(C)]
+struct SuspHdr {
+    /// [`Task`] call/drop pair of the record's concrete `Susp<T, F>`:
+    /// `call` clones the value out of the cell, frees the record and runs
+    /// the continuation; `drop` frees the record unrun.
+    call: CallFn,
+    drop: DropFn,
+    /// The slot of the session whose touch suspended here: the waiter's
+    /// accounting/abort identity, so a *cross-session* fulfill (a cell
+    /// handed from one session to another through a shared structure)
+    /// resumes the waiter into its own session, not the writer's. Taken
+    /// by whichever side wins the record out of `WAITING` (writer,
+    /// failed-CAS toucher, or poison pass).
+    session: Option<Arc<SessionSlot>>,
+    /// Index of the worker whose touch suspended here — the resume
+    /// target under the mailbox policy.
+    owner: usize,
 }
 
-/// A suspended continuation, pre-bound to its cell: calling it clones the
-/// (by then published) value out and runs the user's closure.
-type Waiter = Box<dyn FnOnce(&Worker) + Send>;
+/// A suspension record: header, the cell to read the value from, and the
+/// toucher's continuation, in one allocation.
+#[repr(C)]
+struct Susp<T, F> {
+    hdr: SuspHdr,
+    cell: Arc<Inner<T>>,
+    cont: F,
+}
+
+/// `SuspHdr::call` of a `Susp<T, F>`.
+///
+/// # Safety
+///
+/// `p` must be the payload of a [`Task::from_raw`] task made by [`adopt`]
+/// from a `Susp<T, F>` record whose cell is `FULL`.
+unsafe fn susp_call<T: Clone, F: FnOnce(T, &Worker)>(p: *mut Payload, wk: &Worker) {
+    // SAFETY: the payload word is the `Box::leak` pointer of a
+    // `Susp<T, F>` (`suspend`), and the task consumes it exactly once
+    // (`Task::run` suppresses the task's drop). Exercised by every
+    // resume: `touch_before_write_suspends_and_wakes`, the
+    // `cell_waiter_handoff_after_suspension` model.
+    let rec = unsafe { Box::from_raw(task::raw_word(p) as *mut Susp<T, F>) };
+    let Susp { cell, cont, .. } = *rec;
+    // SAFETY: a record runs only after FULL is established — the
+    // writer's swap published the value before it took the record, or
+    // the toucher's failed CAS observed FULL with acquire — and the value
+    // is never removed. Exercised by `hammer_racing_write_and_touch` and
+    // the `cell_fulfill_vs_touch_exactly_once` model.
+    let v = unsafe { (*cell.value.get()).clone() }.expect("FULL cell without value");
+    drop(cell);
+    cont(v, wk);
+}
+
+/// `SuspHdr::drop` of a `Susp<T, F>`.
+///
+/// # Safety
+///
+/// As for [`susp_call`], minus the `FULL` requirement.
+unsafe fn susp_drop<T, F>(p: *mut Payload) {
+    // SAFETY: as in `susp_call`: the payload word is the record's
+    // `Box::leak` pointer, released exactly once (`Task`'s drop runs only
+    // for tasks never run). Exercised by the poison pass — the
+    // drop-counting leak test in `tests/faults.rs` and
+    // `cancelled_session_frees_every_record` in `tests/footprint.rs`.
+    drop(unsafe { Box::from_raw(task::raw_word(p) as *mut Susp<T, F>) });
+}
+
+/// Split a record won out of `WAITING` into the waiter's session, its
+/// mailbox owner, and the task that runs it — or, dropped, frees it.
+/// The task reuses the record's allocation.
+///
+/// # Safety
+///
+/// `rec` must be a record taken out of a cell's `susp` slot by the one
+/// side entitled to it (the writer or poison pass that won the cell out
+/// of `WAITING`, or the toucher whose CAS failed), and not adopted since.
+unsafe fn adopt(rec: NonNull<()>) -> (Arc<SessionSlot>, usize, Task) {
+    // SAFETY: the caller owns the record exclusively, and `SuspHdr` sits
+    // at offset 0 of every `repr(C)` `Susp`. Exercised by every resume,
+    // reclaim and poison test listed on `susp_call` / `susp_drop`.
+    let hdr = unsafe { &mut *(rec.as_ptr() as *mut SuspHdr) };
+    let session = hdr.session.take().expect("WAITING state without a session");
+    // SAFETY: `call`/`drop` were set by `suspend` to the pair of this
+    // record's own `Susp<T, F>`, each consuming its payload word once.
+    let task = unsafe { Task::from_raw(rec.as_ptr(), hdr.call, hdr.drop) };
+    (session, hdr.owner, task)
+}
 
 struct Inner<T> {
     state: AtomicU8,
     value: UnsafeCell<Option<T>>,
-    waiter: UnsafeCell<Option<Waiter>>,
-    /// Index of the worker whose touch suspended here — the resume
-    /// target under the mailbox policy. Written (Relaxed) by the toucher
-    /// before its release CAS to WAITING publishes it; read (Relaxed) by
-    /// the writer only after its AcqRel swap observed WAITING, so the
-    /// CAS/swap pair orders the accesses.
-    owner: AtomicUsize,
-    /// The slot of the session whose touch suspended here: the waiter's
-    /// accounting/abort identity, so a *cross-session* fulfill (a cell
-    /// handed from one session to another through a shared structure)
-    /// resumes the waiter into its own session, not the writer's. Same
-    /// publication protocol as `waiter`: written by the toucher before
-    /// the WAITING CAS, taken by whichever side wins the race out of
-    /// WAITING (writer, failed-CAS toucher, or poison pass).
-    session: UnsafeCell<Option<Arc<SessionSlot>>>,
-    /// Why the cell was poisoned; written before the release transition
-    /// to POISONED, read only after an acquire load of POISONED.
-    poison: UnsafeCell<Option<Arc<PoisonInfo>>>,
+    /// `WAITING`: the suspension record (a thin `*mut SuspHdr`), written
+    /// by the toucher before its release CAS publishes it, taken by
+    /// whichever side wins the cell out of `WAITING`. `POISONED`: the
+    /// failure context (`Arc::into_raw` of a `PoisonInfo`), written
+    /// before the release store of `POISONED`, read only after an acquire
+    /// load of it, never modified again. `None` in every other state.
+    susp: UnsafeCell<Option<NonNull<()>>>,
+}
+
+impl<T> Inner<T> {
+    fn new(state: u8, value: Option<T>) -> Self {
+        Inner {
+            state: AtomicU8::new(state),
+            value: UnsafeCell::new(value),
+            susp: UnsafeCell::new(None),
+        }
+    }
+
+    /// The failure context of a poisoned cell, once published: waits out
+    /// a poison pass caught mid-publication (`POISONING`, or the `FULL` a
+    /// racing fulfill's swap briefly stored over it) — a few instructions,
+    /// with no user code, before the pass's `POISONED` store.
+    fn wait_poisoned(&self) -> &PoisonInfo {
+        while self.state.load(Ordering::Acquire) != POISONED {
+            crate::sync::thread::yield_now();
+        }
+        // SAFETY: POISONED observed with acquire ⇒ the pass's context
+        // write is visible, and the slot is frozen from then on; the
+        // pointer came from `Arc::into_raw` and the cell owns that count
+        // until it drops, which outlives `&self`. Exercised by the
+        // `poison_then_touch_fails_fast` and
+        // `poison_pass_races_cross_session_fulfill` models.
+        unsafe {
+            let p = (*self.susp.get()).expect("POISONED cell without context");
+            &*(p.as_ptr() as *const PoisonInfo)
+        }
+    }
+}
+
+impl<T> Drop for Inner<T> {
+    fn drop(&mut self) {
+        if let Some(p) = self.susp.get_mut().take() {
+            // SAFETY: a record holds an `Arc` to its cell, so a cell never
+            // drops while `WAITING`, and every taker of a record clears
+            // the slot; a non-empty slot here is therefore the context
+            // the poison pass filed with `Arc::into_raw`, released once.
+            // Exercised by `tests/faults.rs` (poisoned cells dropped after
+            // their session) and `tests/footprint.rs`.
+            drop(unsafe { Arc::from_raw(p.as_ptr() as *const PoisonInfo) });
+        }
+    }
 }
 
 impl<T: Send> PoisonTarget for Inner<T> {
     fn poison(&self, ctx: &Arc<PoisonInfo>) -> PoisonOutcome {
-        // Publish the context before the state transition so any thread
-        // that later observes POISONED (acquire) sees it.
-        // SAFETY: written only by the aborting client; a concurrent
-        // (cross-session) fulfill reads it only after observing POISONED
-        // through the CAS below, never before it is published.
-        unsafe { *self.poison.get() = Some(Arc::clone(ctx)) };
-        match self
+        if self
             .state
-            .compare_exchange(WAITING, POISONED, Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange(WAITING, POISONING, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
         {
-            Ok(_) => {
-                // SAFETY: we won the transition out of WAITING, so we own
-                // the waiter (and session) slots exactly like a writer
-                // would. Dropping the waiter box releases the
-                // continuation's captures and breaks the waiter→cell Arc
-                // cycle — the "leak on abort" this state exists to
-                // prevent. Its destructor must not wedge the cleanup.
-                let waiter = unsafe { (*self.waiter.get()).take() };
-                let session = unsafe { (*self.session.get()).take() };
-                if let Some(w) = waiter {
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(w)));
-                }
-                drop(session);
-                PoisonOutcome {
-                    stuck: Some(StuckCell {
-                        addr: self as *const Self as usize,
-                        payload_type: std::any::type_name::<T>(),
-                        kind: "cell",
-                    }),
-                    dropped: 1,
-                }
-            }
-            Err(prev) => {
-                // Nothing suspended here (the suspension raced to FULL
-                // before the abort): withdraw the context again.
-                // SAFETY: the state can never return to WAITING, so the
-                // slot stays unobserved.
-                if prev != POISONED {
-                    unsafe { *self.poison.get() = None };
-                }
-                PoisonOutcome::none()
-            }
+            // Nothing suspended here any more (the suspension raced to
+            // FULL before the abort, or a cross-session fulfill won).
+            return PoisonOutcome::none();
+        }
+        let filed = NonNull::new(Arc::into_raw(Arc::clone(ctx)) as *mut ());
+        // SAFETY: winning WAITING → POISONING makes this pass the slot's
+        // sole owner: the toucher's release CAS published the record (our
+        // acquire), a writer takes it only on swapping out of WAITING, and
+        // every reader waits for POISONED. Exercised by the
+        // `poison_pass_races_cross_session_fulfill` model.
+        let rec = unsafe { std::mem::replace(&mut *self.susp.get(), filed) }
+            .expect("WAITING state without a waiter");
+        self.state.store(POISONED, Ordering::Release);
+        // SAFETY: the record was won out of WAITING above.
+        let (session, _owner, task) = unsafe { adopt(rec) };
+        // Dropping the record releases the continuation's captures and
+        // breaks the record→cell Arc cycle — the "leak on abort" this
+        // state exists to prevent. Its destructor must not wedge the
+        // cleanup.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(task)));
+        drop(session);
+        PoisonOutcome {
+            stuck: Some(StuckCell {
+                addr: self as *const Self as usize,
+                payload_type: std::any::type_name::<T>(),
+                kind: "cell",
+            }),
+            dropped: 1,
         }
     }
 }
 
 // SAFETY: access to the UnsafeCells is mediated by the state machine:
-// `value` is written exactly once before the release transition to FULL and
-// only read after an acquire load of FULL (or by the writer itself);
-// `waiter` is written once before the release transition to WAITING and
-// taken once after observing WAITING via the AcqRel swap to FULL (or taken
-// back by the toucher itself when its CAS fails).
+// `value` is written exactly once before the release transition to FULL
+// and only read after an acquire observation of FULL (or by the writer
+// itself); `susp` is owned by exactly one side at a time, as documented on
+// the field. The races are explored by the `cell_*` and poison models in
+// `crates/check/tests/model_rt.rs` and by `hammer_racing_write_and_touch`.
 unsafe impl<T: Send> Send for Inner<T> {}
+// SAFETY: as for `Send` above.
 unsafe impl<T: Send> Sync for Inner<T> {}
 
 /// The write pointer: consumed by [`FutWrite::fulfill`], so a cell is
@@ -183,14 +322,7 @@ impl<T> Clone for FutRead<T> {
 
 /// Create an empty future cell.
 pub fn cell<T>() -> (FutWrite<T>, FutRead<T>) {
-    let inner = Arc::new(Inner {
-        state: AtomicU8::new(EMPTY),
-        value: UnsafeCell::new(None),
-        waiter: UnsafeCell::new(None),
-        owner: AtomicUsize::new(0),
-        session: UnsafeCell::new(None),
-        poison: UnsafeCell::new(None),
-    });
+    let inner = Arc::new(Inner::new(EMPTY, None));
     (
         FutWrite {
             inner: Arc::clone(&inner),
@@ -202,14 +334,7 @@ pub fn cell<T>() -> (FutWrite<T>, FutRead<T>) {
 /// Create an already-written cell (input construction).
 pub fn ready<T>(value: T) -> FutRead<T> {
     FutRead {
-        inner: Arc::new(Inner {
-            state: AtomicU8::new(FULL),
-            value: UnsafeCell::new(Some(value)),
-            waiter: UnsafeCell::new(None),
-            owner: AtomicUsize::new(0),
-            session: UnsafeCell::new(None),
-            poison: UnsafeCell::new(None),
-        }),
+        inner: Arc::new(Inner::new(FULL, Some(value))),
     }
 }
 
@@ -224,20 +349,21 @@ impl<T: Clone + Send + 'static> FutWrite<T> {
         worker.note_progress();
         crate::trace::fulfill(worker, Arc::as_ptr(&self.inner) as *const () as usize);
         // SAFETY: we are the unique writer (FutWrite is not Clone and is
-        // consumed); no reader dereferences `value` until it observes FULL.
+        // consumed); no reader dereferences `value` until it observes
+        // FULL. Exercised by `hammer_racing_write_and_touch`.
         unsafe { *self.inner.value.get() = Some(value) };
         match self.inner.state.swap(FULL, Ordering::AcqRel) {
             EMPTY => {}
             WAITING => {
                 // SAFETY: WAITING was published by the toucher's release
-                // CAS, so its waiter/session writes happen-before our
-                // reads; state is now FULL, so no one else touches the
-                // slots.
-                let waiter = unsafe { (*self.inner.waiter.get()).take() }
+                // CAS, so its record write happens-before our take; state
+                // is now FULL, so no one else touches the slot. Exercised
+                // by the `cell_fulfill_vs_touch_exactly_once` model.
+                let rec = unsafe { (*self.inner.susp.get()).take() }
                     .expect("WAITING state without a waiter");
-                let session = unsafe { (*self.inner.session.get()).take() }
-                    .expect("WAITING state without a session");
-                // Waiter hand-off: the box allocated at touch time is
+                // SAFETY: the record was won out of WAITING above.
+                let (session, owner, task) = unsafe { adopt(rec) };
+                // Waiter hand-off: the record allocated at touch time is
                 // enqueued as-is — no re-boxing, no value capture. The
                 // waiter reads the value from the cell when it runs; our
                 // value write above happens-before that read through the
@@ -247,48 +373,20 @@ impl<T: Clone + Send + 'static> FutWrite<T> {
                 // sharing), so this is a transfer, not a spawn. Where it
                 // lands — fulfiller's deque, inline, or the suspender's
                 // mailbox — is the waiter's session's resume policy.
-                let owner = self.inner.owner.load(Ordering::Relaxed);
-                worker.resume_transferred(
-                    SessionTask {
-                        session,
-                        task: Task::from_boxed(waiter),
-                    },
-                    owner,
-                );
+                worker.resume_transferred(SessionTask { session, task }, owner);
             }
-            POISONED => {
-                // Restore the terminal state (the swap clobbered it),
-                // then fail with the originating context.
-                self.inner.state.store(POISONED, Ordering::SeqCst);
-                // SAFETY: POISONED observed via the AcqRel swap ⇒ the
-                // context write is visible; the slot is never modified
-                // after POISONED is published.
-                let info = unsafe { (*self.inner.poison.get()).clone() };
+            prev @ (POISONED | POISONING) => {
+                // Restore the terminal state the swap clobbered (a pass
+                // still POISONING restores it with its own store), then
+                // fail with the originating context.
+                if prev == POISONED {
+                    self.inner.state.store(POISONED, Ordering::SeqCst);
+                }
+                let info = self.inner.wait_poisoned();
                 panic!(
                     "fulfill of a poisoned future cell (session {}): {}",
                     worker.session_id(),
-                    poison_desc(&info)
-                );
-            }
-            _ => unreachable!("future cell written twice"),
-        }
-    }
-
-    /// Write the value from outside the runtime (input construction only:
-    /// panics if a continuation is already suspended, since there is no
-    /// worker to hand it to).
-    pub fn fulfill_outside(self, value: T) {
-        unsafe { *self.inner.value.get() = Some(value) };
-        match self.inner.state.swap(FULL, Ordering::AcqRel) {
-            EMPTY => {}
-            WAITING => panic!("fulfill_outside with a suspended waiter"),
-            POISONED => {
-                self.inner.state.store(POISONED, Ordering::SeqCst);
-                // SAFETY: as in `fulfill`.
-                let info = unsafe { (*self.inner.poison.get()).clone() };
-                panic!(
-                    "fulfill_outside of a poisoned future cell: {}",
-                    poison_desc(&info)
+                    info
                 );
             }
             _ => unreachable!("future cell written twice"),
@@ -305,7 +403,8 @@ impl<T: Clone + Send + 'static> FutRead<T> {
         crate::chaos::maybe_delay();
         match self.inner.state.load(Ordering::Acquire) {
             FULL => {
-                // SAFETY: FULL observed with acquire ⇒ value write visible.
+                // SAFETY: FULL observed with acquire ⇒ value write
+                // visible. Exercised by `write_before_touch_runs_inline`.
                 let v =
                     unsafe { (*self.inner.value.get()).clone() }.expect("FULL cell without value");
                 worker.run_inline_or_spawn(v, cont);
@@ -316,83 +415,84 @@ impl<T: Clone + Send + 'static> FutRead<T> {
                 worker.session_id(),
                 Arc::as_ptr(&self.inner),
             ),
-            POISONED => {
-                // SAFETY: POISONED observed with acquire ⇒ the context
-                // write is visible and the slot is frozen.
-                let info = unsafe { (*self.inner.poison.get()).clone() };
+            POISONED | POISONING => {
+                let info = self.inner.wait_poisoned();
                 panic!(
                     "touch of a poisoned future cell (session {}): {}",
                     worker.session_id(),
-                    poison_desc(&info)
+                    info
                 );
             }
-            _ => {
-                // Build the single-allocation waiter: it captures the
-                // cell and clones the value out when it eventually runs
-                // (by which point the cell is FULL — either published by
-                // the writer's swap before it took the waiter, or
-                // observed below on the failed CAS).
-                let inner = Arc::clone(&self.inner);
-                let waiter: Waiter = Box::new(move |wk: &Worker| {
-                    // SAFETY: this closure only runs after FULL is
-                    // established (see above); the value is never removed.
-                    let v =
-                        unsafe { (*inner.value.get()).clone() }.expect("FULL cell without value");
-                    cont(v, wk);
-                });
-                // SAFETY: slots owned by the (sole) toucher until the CAS
-                // below publishes them.
-                unsafe { *self.inner.waiter.get() = Some(waiter) };
-                unsafe { *self.inner.session.get() = Some(worker.clone_session()) };
-                // Record who is suspending (mailbox resume target);
-                // published by the CAS below together with the waiter.
-                self.inner.owner.store(worker.index(), Ordering::Relaxed);
-                worker.note_suspend();
-                match self.inner.state.compare_exchange(
-                    EMPTY,
-                    WAITING,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        // Suspended; the writer will reactivate us.
-                        // Register with the executing worker so an abort
-                        // of this session can poison the cell and reclaim
-                        // the continuation (see pool.rs). Registration is
-                        // a plain owner-local push; the weak ref dies with
-                        // the cell, so completed cells cost nothing.
-                        let weak = Arc::downgrade(&self.inner);
-                        worker.register_suspend(weak);
-                        crate::trace::suspend(
-                            worker,
-                            Arc::as_ptr(&self.inner) as *const () as usize,
-                        );
-                    }
-                    Err(FULL) => {
-                        // The write raced us: reclaim the continuation and
-                        // run it now (the failed CAS's acquire load makes
-                        // the value visible to the waiter's clone).
-                        worker.unnote_suspend();
-                        // SAFETY: state is FULL; the writer saw EMPTY and
-                        // never reads the waiter/session slots; we own
-                        // them.
-                        let waiter =
-                            unsafe { (*self.inner.waiter.get()).take() }.expect("waiter vanished");
-                        unsafe { (*self.inner.session.get()) = None };
-                        worker.run_boxed_inline_or_spawn(waiter);
-                    }
-                    Err(prev @ WAITING) | Err(prev @ POISONED) => {
-                        panic!(
-                            "non-linear program: concurrent second touch of a future cell \
-                             (state={}, session={}, cell={:p})",
-                            state_name(prev),
-                            worker.session_id(),
-                            Arc::as_ptr(&self.inner),
-                        )
-                    }
-                    Err(_) => unreachable!(),
-                }
+            _ => self.suspend(worker, cont),
+        }
+    }
+
+    /// The EMPTY branch of [`FutRead::touch`]: allocate the suspension
+    /// record and publish it, or run the continuation at once if the
+    /// write races the publication.
+    fn suspend<F: FnOnce(T, &Worker) + Send + 'static>(&self, worker: &Worker, cont: F) {
+        // The record is the suspension's one allocation; it captures the
+        // cell and clones the value out when it eventually runs (by which
+        // point the cell is FULL — either published by the writer's swap
+        // before it took the record, or observed below on the failed CAS).
+        let rec = Box::new(Susp {
+            hdr: SuspHdr {
+                call: susp_call::<T, F>,
+                drop: susp_drop::<T, F>,
+                session: Some(worker.clone_session()),
+                // The mailbox resume target, published with the record.
+                owner: worker.index(),
+            },
+            cell: Arc::clone(&self.inner),
+            cont,
+        });
+        let rec = NonNull::from(Box::leak(rec)).cast::<()>();
+        // SAFETY: under linearity the (sole) toucher owns the slot until
+        // the CAS below publishes it: in EMPTY nobody else reads or writes
+        // it. Exercised by the `cell_fulfill_vs_touch_exactly_once` model.
+        unsafe { *self.inner.susp.get() = Some(rec) };
+        worker.note_suspend();
+        match self
+            .inner
+            .state
+            .compare_exchange(EMPTY, WAITING, Ordering::AcqRel, Ordering::Acquire)
+        {
+            Ok(_) => {
+                // Suspended; the writer will reactivate us. Register with
+                // the session so an abort can poison the cell and reclaim
+                // the record (see pool.rs). Registration pushes onto the
+                // session's mutex-guarded registry (uncontended unless
+                // several workers suspend at once), and the `Weak` keeps
+                // the cell's allocation — not its value — until the
+                // session ends.
+                let weak = Arc::downgrade(&self.inner);
+                worker.register_suspend(weak);
+                crate::trace::suspend(worker, Arc::as_ptr(&self.inner) as *const () as usize);
             }
+            Err(FULL) => {
+                // The write raced us: reclaim the record and run it now
+                // (the failed CAS's acquire load makes the value visible
+                // to the record's clone).
+                worker.unnote_suspend();
+                // SAFETY: state is FULL; the writer saw EMPTY and never
+                // reads the slot, so we still own the record. Exercised by
+                // the `cell_fulfill_vs_touch_exactly_once` model.
+                let rec = unsafe { (*self.inner.susp.get()).take() }.expect("waiter vanished");
+                // SAFETY: the record was reclaimed above.
+                let (session, _owner, task) = unsafe { adopt(rec) };
+                drop(session);
+                worker.run_task_inline_or_spawn(task);
+            }
+            Err(prev @ (WAITING | POISONED | POISONING)) => {
+                panic!(
+                    "non-linear program: concurrent second touch of a future cell \
+                     (state={}, session={}, cell={:p})",
+                    state_name(prev),
+                    worker.session_id(),
+                    Arc::as_ptr(&self.inner),
+                )
+            }
+            Err(_) => unreachable!(),
         }
     }
 
@@ -407,7 +507,8 @@ impl<T: Clone + Send + 'static> FutRead<T> {
     pub fn peek(&self) -> Option<T> {
         if self.inner.state.load(Ordering::Acquire) == FULL {
             // SAFETY: FULL observed with acquire ⇒ value write visible, and
-            // the value is never removed from the slot.
+            // the value is never removed from the slot. Exercised by
+            // `ready_cells` and every result check of the test suite.
             unsafe { (*self.inner.value.get()).clone() }
         } else {
             None
@@ -431,9 +532,7 @@ impl<T: Clone + Send + 'static> FutRead<T> {
     /// healthy cells. Safe at any time, like [`FutRead::peek`].
     pub fn poison_info(&self) -> Option<PoisonInfo> {
         if self.inner.state.load(Ordering::Acquire) == POISONED {
-            // SAFETY: POISONED observed with acquire ⇒ the context write
-            // is visible; the slot is never modified afterwards.
-            unsafe { (*self.inner.poison.get()).as_deref().cloned() }
+            Some(self.inner.wait_poisoned().clone())
         } else {
             None
         }
@@ -458,13 +557,6 @@ mod tests {
         let (_w, r) = cell::<u32>();
         assert!(!r.is_written());
         assert_eq!(r.peek(), None);
-    }
-
-    #[test]
-    fn fulfill_outside_then_peek() {
-        let (w, r) = cell::<String>();
-        w.fulfill_outside("hi".into());
-        assert_eq!(r.expect(), "hi");
     }
 
     #[test]

@@ -1258,8 +1258,8 @@ impl Runtime {
         }
         // Poison every registered cell that still holds one of this
         // session's suspended continuations: the continuation is dropped
-        // here (zero leaks — each waiter box owns an `Arc` cycle back to
-        // its cell that only this pass can break) and the cell remembers
+        // here (zero leaks — each suspension record or waiter box owns an
+        // `Arc` cycle back to its cell that only this pass can break) and the cell remembers
         // `ctx`, so a straggler touch fails fast with the originating
         // failure. Cells of *other* sessions are untouched: the lock-free
         // cell holds exactly one waiter (ours — it is in our registry),

@@ -257,12 +257,12 @@ impl Worker {
         self.notify_push(1);
     }
 
-    /// Spawn an already-boxed continuation without re-boxing it.
-    pub(crate) fn spawn_boxed(&self, f: Box<dyn FnOnce(&Worker) + Send>) {
+    /// Spawn an already-packaged continuation without re-packaging it.
+    fn spawn_task(&self, task: Task) {
         self.stats().add_spawns(1);
         self.stats().add_progress();
         crate::trace::spawn(self, 1);
-        self.push_child(Task::from_boxed(f));
+        self.push_child(task);
     }
 
     /// Enqueue a reactivated waiter onto our own deque (its suspended
@@ -383,16 +383,17 @@ impl Worker {
         }
     }
 
-    /// [`Worker::run_inline_or_spawn`] for an already-boxed continuation
-    /// (a waiter reclaimed after its suspension raced the write).
-    pub(crate) fn run_boxed_inline_or_spawn(&self, cont: Box<dyn FnOnce(&Worker) + Send>) {
+    /// [`Worker::run_inline_or_spawn`] for an already-packaged
+    /// continuation (a suspension record reclaimed after its suspension
+    /// raced the write).
+    pub(crate) fn run_task_inline_or_spawn(&self, task: Task) {
         let d = self.inline_depth.get();
         if d < MAX_INLINE_DEPTH {
             self.inline_depth.set(d + 1);
-            cont(self);
+            task.run(self);
             self.inline_depth.set(d);
         } else {
-            self.spawn_boxed(cont);
+            self.spawn_task(task);
         }
     }
 

@@ -22,9 +22,12 @@
 //!   allocation parity with hand-written CPS).
 //! * A larger closure falls back to one `Box`; only the two-word fat
 //!   pointer is stored inline.
-//! * An **already-boxed** continuation (a reactivated future-cell waiter)
+//! * An **already-boxed** continuation (a reactivated mutex-cell waiter)
 //!   is adopted via [`Task::from_boxed`] without re-boxing — the fix for
-//!   the old double allocation in `FutWrite::fulfill`.
+//!   the old double allocation on every resume.
+//! * A **thin record** — one pointer to an allocation whose header
+//!   carries its own `call`/`drop` pair, the lock-free cell's suspension
+//!   record — is adopted via [`Task::from_raw`], again without re-boxing.
 //!
 //! The `call` fn consumes the payload; the `drop` fn releases it when a
 //! task is destroyed without running (runtime teardown after a panic).
@@ -36,7 +39,11 @@ use crate::scheduler::Worker;
 /// Payload capacity, in machine words.
 const INLINE_WORDS: usize = 4;
 
-type Payload = MaybeUninit<[usize; INLINE_WORDS]>;
+pub(crate) type Payload = MaybeUninit<[usize; INLINE_WORDS]>;
+/// Consumes a payload and runs its continuation.
+pub(crate) type CallFn = unsafe fn(*mut Payload, &Worker);
+/// Releases a payload without running it.
+pub(crate) type DropFn = unsafe fn(*mut Payload);
 type BoxedFn = Box<dyn FnOnce(&Worker) + Send>;
 type RawFat = *mut (dyn FnOnce(&Worker) + Send);
 
@@ -49,9 +56,9 @@ const fn fits_inline<F>() -> bool {
 pub struct Task {
     payload: Payload,
     /// Consumes the payload and runs the continuation.
-    call: unsafe fn(*mut Payload, &Worker),
+    call: CallFn,
     /// Releases the payload without running it.
-    drop_in_place: unsafe fn(*mut Payload),
+    drop_in_place: DropFn,
 }
 
 // SAFETY: a Task is constructed only from `F: Send` closures (or already
@@ -122,6 +129,25 @@ impl Task {
         }
     }
 
+    /// Adopt a thin record: `raw` is stored as the payload's first word
+    /// and handed back to `call` / `drop_in_place` through [`raw_word`].
+    ///
+    /// # Safety
+    ///
+    /// `call` and `drop_in_place` must each accept a payload whose first
+    /// word is `raw`, consume it exactly once, and be sound to invoke on
+    /// any thread (the task is `Send`).
+    pub(crate) unsafe fn from_raw(raw: *mut (), call: CallFn, drop_in_place: DropFn) -> Task {
+        let mut payload = Payload::uninit();
+        // SAFETY: a thin pointer is one word, within the payload.
+        unsafe { (payload.as_mut_ptr() as *mut *mut ()).write(raw) };
+        Task {
+            payload,
+            call,
+            drop_in_place,
+        }
+    }
+
     /// Run the continuation, consuming the task.
     pub fn run(self, wk: &Worker) {
         let mut this = ManuallyDrop::new(self);
@@ -129,6 +155,16 @@ impl Task {
         // payload is read exactly once.
         unsafe { (this.call)(&mut this.payload, wk) };
     }
+}
+
+/// The pointer a [`Task::from_raw`] task was built with.
+///
+/// # Safety
+///
+/// `p` must be the payload of a task built by [`Task::from_raw`].
+pub(crate) unsafe fn raw_word(p: *mut Payload) -> *mut () {
+    // SAFETY (caller): the first word was written by `from_raw`.
+    unsafe { (p as *mut *mut ()).read() }
 }
 
 impl Drop for Task {

@@ -52,9 +52,9 @@ pub enum TraceKind {
     /// A write reactivated a suspended continuation: its task was pushed
     /// back onto a queue (`arg` = 0; recorded by the fulfilling worker).
     Resume = 4,
-    /// A future cell was written (`arg` = cell address). Writes from
-    /// outside the runtime (`fulfill_outside`) are not recorded — there
-    /// is no worker to record them.
+    /// A future cell was written (`arg` = cell address). Cells built
+    /// already written (`ready`) are not recorded — there is no worker
+    /// to record them.
     Fulfill = 5,
     /// The abort cleanup poisoned a cell that still held a suspended
     /// continuation (`arg` = cell address; recorded on the client lane —
